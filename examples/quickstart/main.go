@@ -41,28 +41,28 @@ func exchange(os cluster.OSType) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer cl.Close()
 
 	var lat time.Duration
 	var failure error
 	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(cl.E)
-	ready.Add(2)
+	ready := cl.NewRendezvous(2)
 
 	for rank := 0; rank < 2; rank++ {
 		rank := rank
 		osops := cl.Nodes[rank].NewRankOS(rank)
-		cl.E.Go(fmt.Sprintf("rank%d", rank), func(p *sim.Proc) {
+		cl.Go(rank, fmt.Sprintf("rank%d", rank), func(p *sim.Proc) {
 			// 2. Open a PSM endpoint: this opens /dev/hfi1 (offloaded
 			//    to Linux on McKernel), maps the context areas and
 			//    registers the rank's address.
 			ep, err := psm.NewEndpoint(p, osops, rank, book, false)
 			if err != nil {
 				failure = err
-				ready.Done()
+				ready.Done(p)
 				return
 			}
 			book[rank] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done()
+			ready.Done(p)
 			ready.Wait(p)
 
 			// 3. Allocate a user buffer (contiguous+pinned on McKernel,
@@ -105,7 +105,7 @@ func exchange(os cluster.OSType) (time.Duration, error) {
 		})
 	}
 	// 4. Drive the simulation to completion.
-	if err := cl.E.Run(0); err != nil {
+	if err := cl.Run(0); err != nil {
 		return 0, err
 	}
 	if failure != nil {

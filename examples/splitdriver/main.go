@@ -309,7 +309,7 @@ func main() {
 	measure := func(label string) time.Duration {
 		var total time.Duration
 		proc := n.Mck.NewProcess("app")
-		cl.E.Go("app", func(p *sim.Proc) {
+		cl.Go(0, "app", func(p *sim.Proc) {
 			ctx := &kernel.Ctx{P: p, CPU: n.AppCPUs()[0]}
 			f, err := n.Mck.Open(ctx, proc, "/dev/kxp0")
 			if err != nil {
@@ -335,7 +335,7 @@ func main() {
 			fmt.Printf("%-28s %8v/job   (device counts %d jobs)\n",
 				label, (total / jobs).Round(10*time.Nanosecond), count)
 		})
-		if err := cl.E.Run(0); err != nil {
+		if err := cl.Run(0); err != nil {
 			log.Fatal(err)
 		}
 		return total

@@ -87,8 +87,8 @@ type Spec struct {
 	// Shards partitions the cluster into that many contiguous node
 	// groups, each simulated by its own engine and synchronized
 	// conservatively with the fabric link latency as lookahead
-	// (sim.ShardSet). 0 or 1 builds the classic single-engine machine,
-	// byte-identical to pre-sharding builds. Shards > 1 requires the
+	// (sim.ShardSet). 0 or 1 builds a single-engine machine, whose
+	// snapshots keep the unsectioned engine format. Shards > 1 requires the
 	// loss-free, jitter-free, congestion-free, untraced profile and is
 	// clamped to the node count.
 	Shards int
@@ -99,11 +99,6 @@ type Config = Spec
 
 // Cluster is the simulated machine.
 type Cluster struct {
-	// E is the engine of shard 0 — in the default single-engine
-	// configuration, the only engine. Sharded callers must schedule
-	// node-local work on EngineFor(node) (or via Go) and drive the run
-	// with Cluster.Run, never E.Run.
-	E   *sim.Engine
 	Fab *fabric.Fabric
 	// IBFab is the InfiniBand network the verbs HCAs attach to — a
 	// second adapter per node, independent of the OmniPath fabric.
@@ -115,7 +110,9 @@ type Cluster struct {
 	// Set drives the sharded configuration (nil when Shards <= 1).
 	Set *sim.ShardSet
 	// Per-shard engines and fabrics, indexed by shard; single-engine
-	// clusters hold one entry each, aliasing E/Fab/IBFab.
+	// clusters hold one entry each, aliasing Fab/IBFab. Node-local work
+	// is scheduled on EngineFor(node) (or via Go), and the machine runs
+	// through Run.
 	engines []*sim.Engine
 	fabs    []*fabric.Fabric
 	ibfabs  []*fabric.Fabric
@@ -171,18 +168,16 @@ func New(cfg Spec) (*Cluster, error) {
 			return nil, err
 		}
 	} else {
-		// Single-engine machine: the classic wiring, byte-identical to
-		// pre-sharding builds.
-		c.E = sim.NewEngine(cfg.Seed)
-		c.Fab = fabric.New(c.E, c.Params)
-		c.IBFab = fabric.New(c.E, c.Params)
+		e := sim.NewEngine(cfg.Seed)
+		c.Fab = fabric.New(e, c.Params)
+		c.IBFab = fabric.New(e, c.Params)
 		c.Fab.SetFaults(&c.Cfg.Faults)
 		c.Fab.SetCongestion(&c.Cfg.Congestion)
 		// Snapshot registration: the OmniPath fabric takes the bare
 		// label, the IB fabric the deterministic "#1" suffix.
-		c.E.RegisterState("fabric", c.Fab.EncodeState)
-		c.E.RegisterState("fabric", c.IBFab.EncodeState)
-		c.engines = []*sim.Engine{c.E}
+		e.RegisterState("fabric", c.Fab.EncodeState)
+		e.RegisterState("fabric", c.IBFab.EncodeState)
+		c.engines = []*sim.Engine{e}
 		c.fabs = []*fabric.Fabric{c.Fab}
 		c.ibfabs = []*fabric.Fabric{c.IBFab}
 		c.shardOf = make([]int, cfg.Nodes)
@@ -221,7 +216,6 @@ func (c *Cluster) buildSharded() error {
 	}
 	c.Set = set
 	c.engines = set.Engines()
-	c.E = c.engines[0]
 	// Contiguous block partition: shard i owns nodes [i*N/S, (i+1)*N/S).
 	c.shardOf = make([]int, cfg.Nodes)
 	for s := 0; s < cfg.Shards; s++ {
@@ -423,12 +417,9 @@ func (c *Cluster) buildNode(id int) (*Node, error) {
 // cluster).
 func (c *Cluster) Shards() int { return len(c.engines) }
 
-// Engines returns the per-shard engines in shard order; single-engine
-// clusters return [E].
+// Engines returns the per-shard engines in shard order (one engine on
+// a single-engine cluster).
 func (c *Cluster) Engines() []*sim.Engine { return c.engines }
-
-// ShardOf returns the shard owning the node.
-func (c *Cluster) ShardOf(node int) int { return c.shardOf[node] }
 
 // EngineFor returns the engine simulating the node. Everything local to
 // a node — processes, device callbacks, snapshot sections — must be
@@ -441,13 +432,22 @@ func (c *Cluster) Go(node int, name string, fn func(p *sim.Proc)) *sim.Proc {
 }
 
 // Run drives the whole machine to completion (or to limit), regardless
-// of shard count. This is the only correct way to run a cluster; E.Run
-// would run shard 0 alone.
+// of shard count.
 func (c *Cluster) Run(limit time.Duration) error {
 	if c.Set != nil {
 		return c.Set.Run(limit)
 	}
-	return c.E.Run(limit)
+	return c.engines[0].Run(limit)
+}
+
+// Close releases the goroutines of every process still parked on the
+// machine (NIC, Linux worker and other daemons) so a finished cluster
+// can be garbage collected. Call it once the cluster's results have
+// been read; the cluster cannot run again.
+func (c *Cluster) Close() {
+	for _, e := range c.engines {
+		e.Close()
+	}
 }
 
 // Now returns the machine's virtual time (the maximum shard clock).
@@ -455,7 +455,7 @@ func (c *Cluster) Now() time.Duration {
 	if c.Set != nil {
 		return c.Set.Now()
 	}
-	return c.E.Now()
+	return c.engines[0].Now()
 }
 
 // NewRendezvous creates an n-participant cross-shard rendezvous (a
@@ -464,18 +464,18 @@ func (c *Cluster) NewRendezvous(n int) *sim.Rendezvous {
 	if c.Set != nil {
 		return c.Set.NewRendezvous(n)
 	}
-	return sim.NewRendezvous(c.E, n)
+	return sim.NewRendezvous(c.engines[0], n)
 }
 
 // Machine returns the cluster's snapshot surface: the shard set on a
 // sharded cluster, the standalone engine otherwise. Checkpoint and
-// restore flow through it, so Shards=1 keeps the classic snapshot byte
-// format while sharded clusters get the "shards"-sectioned one.
+// restore flow through it, so Shards=1 keeps the unsectioned engine
+// snapshot format while sharded clusters get the "shards"-sectioned one.
 func (c *Cluster) Machine() snapshot.Machine {
 	if c.Set != nil {
 		return c.Set
 	}
-	return c.E
+	return c.engines[0]
 }
 
 // Fabrics returns the per-shard OmniPath fabrics in shard order

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -23,26 +24,25 @@ func runPair(t *testing.T, os OSType, synthetic bool,
 	}
 	eps := make([]*psm.Endpoint, 2)
 	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(c.E)
-	ready.Add(2)
+	ready := c.NewRendezvous(2)
 	for r := 0; r < 2; r++ {
 		r := r
 		osops := c.Nodes[r].NewRankOS(r)
-		c.E.Go(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+		c.Go(r, fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
 			ep, err := psm.NewEndpoint(p, osops, r, book, synthetic)
 			if err != nil {
 				t.Errorf("rank %d endpoint: %v", r, err)
-				ready.Done()
+				ready.Done(p)
 				return
 			}
 			eps[r] = ep
 			book[r] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done()
+			ready.Done(p)
 			ready.Wait(p)
 			body(p, r, ep)
 		})
 	}
-	if err := c.E.Run(0); err != nil {
+	if err := c.Run(0); err != nil {
 		t.Fatalf("%v: %v", os, err)
 	}
 	return c
@@ -151,22 +151,21 @@ func TestIntraNodeMessaging(t *testing.T) {
 	const size = 100 << 10
 	eps := make([]*psm.Endpoint, 2)
 	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(c.E)
-	ready.Add(2)
+	ready := c.NewRendezvous(2)
 	ok := false
 	for r := 0; r < 2; r++ {
 		r := r
 		osops := c.Nodes[0].NewRankOS(r)
-		c.E.Go(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+		c.Go(0, fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
 			ep, err := psm.NewEndpoint(p, osops, r, book, false)
 			if err != nil {
 				t.Error(err)
-				ready.Done()
+				ready.Done(p)
 				return
 			}
 			eps[r] = ep
 			book[r] = psm.Addr{Node: 0, Ctx: ep.CtxID}
-			ready.Done()
+			ready.Done(p)
 			ready.Wait(p)
 			buf, err := ep.OS.MmapAnon(p, size)
 			if err != nil {
@@ -199,7 +198,7 @@ func TestIntraNodeMessaging(t *testing.T) {
 			}
 		})
 	}
-	if err := c.E.Run(0); err != nil {
+	if err := c.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
@@ -426,5 +425,46 @@ func TestDeterministicRuns(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("non-deterministic: %v vs %v", a, b)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has stopped
+// changing: goroutines of processes that finished in earlier tests may
+// still be on their way out.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 20; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
+// TestCloseReleasesGoroutines checks that a finished cluster leaves no
+// goroutines behind once closed: its parked daemons (NIC receive and
+// SDMA engines, Linux workers) would otherwise keep the whole machine
+// reachable for the life of the process.
+func TestCloseReleasesGoroutines(t *testing.T) {
+	base := settledGoroutines()
+	for i, shards := range []int{1, 1, 2} {
+		c, err := New(Config{Nodes: 2, OS: AllOSTypes[i], Params: model.Default(), Seed: 42, Synthetic: true, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		startPairOn(t, c, 64<<10)
+		if err := c.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if n := settledGoroutines(); n <= base {
+			t.Fatalf("finished cluster holds %d goroutines, want its parked daemons", n-base)
+		}
+		c.Close()
+	}
+	if n := settledGoroutines(); n > base {
+		t.Fatalf("%d goroutines after closing three clusters, baseline %d", n, base)
 	}
 }

@@ -256,21 +256,20 @@ func TestPicoFallbackForUnpinnedBuffers(t *testing.T) {
 	var fellBack bool
 	eps := make([]*psm.Endpoint, 2)
 	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(cl.E)
-	ready.Add(2)
+	ready := cl.NewRendezvous(2)
 	for r := 0; r < 2; r++ {
 		r := r
 		osops := cl.Nodes[r].NewRankOS(r)
-		cl.E.Go("rank", func(p *sim.Proc) {
+		cl.Go(r, "rank", func(p *sim.Proc) {
 			ep, err := psm.NewEndpoint(p, osops, r, book, true)
 			if err != nil {
 				t.Error(err)
-				ready.Done()
+				ready.Done(p)
 				return
 			}
 			eps[r] = ep
 			book[r] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done()
+			ready.Done(p)
 			ready.Wait(p)
 			if r != 0 {
 				// Receiver posts a matching receive into a regular
@@ -301,7 +300,7 @@ func TestPicoFallbackForUnpinnedBuffers(t *testing.T) {
 			fellBack = cl.Nodes[0].Pico.FallbackCalls > 0
 		})
 	}
-	if err := cl.E.Run(0); err != nil {
+	if err := cl.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if !fellBack {

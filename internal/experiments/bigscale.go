@@ -87,6 +87,7 @@ func Bigscale(cfg Config, appName string, nodes, rpn int, shards []int) ([]Bigsc
 		if cl.Set != nil {
 			row.Windows, row.Cross = cl.Set.Windows, cl.Set.CrossEvents
 		}
+		cl.Close()
 		if len(rows) > 0 {
 			if want := rows[0].Digest; row.Digest != want {
 				return nil, fmt.Errorf(

@@ -143,6 +143,7 @@ func PingPongCheckpoint(cfg Config, os cluster.OSType, size uint64, w io.Writer)
 	if err != nil {
 		return 0, err
 	}
+	defer c.cl.Close()
 	if err := c.cl.Run(mid); err != nil {
 		return 0, err
 	}

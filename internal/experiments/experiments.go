@@ -44,7 +44,7 @@ type Config struct {
 	// GOMAXPROCS-wide pool per call).
 	Pool *runner.Pool
 	// Trace, when non-nil, receives the spans of traced single runs
-	// (TracedRun, TracedPingPong, TracedVerbsRun).
+	// (TracedRun, TracedPingPong).
 	Trace *trace.Recorder
 	// Faults is the lossy-fabric profile for every cluster built by the
 	// experiments. The reliability sweep overrides the drop rate per
@@ -56,8 +56,8 @@ type Config struct {
 	// the tenancy experiment overrides it per cell.
 	Congestion fabric.CongProfile
 	// Shards partitions every cluster the experiments build into that
-	// many conservatively-synchronized engine shards (0 or 1 = the
-	// classic single engine, byte-identical to all prior artifacts).
+	// many conservatively-synchronized engine shards (0 or 1 = a
+	// single engine).
 	// Sharding requires the loss-free, jitter-free, congestion-free
 	// profile; cluster.New rejects anything else.
 	Shards int
@@ -412,6 +412,7 @@ func buildPingPong(cfg Config, os cluster.OSType, size uint64, reps int, seed in
 
 // finish runs the cell's cluster to completion and folds the result.
 func (c *ppCell) finish() (ppResult, error) {
+	defer c.cl.Close()
 	if err := c.cl.Run(0); err != nil {
 		return ppResult{}, err
 	}
@@ -490,6 +491,7 @@ func runApp(cfg Config, app *miniapps.App, nodes, rpn int, os cluster.OSType, se
 	if err != nil {
 		return nil, err
 	}
+	defer cl.Close()
 	return mpi.RunJob(cl, rpn, func(c *mpi.Comm) error { return app.Body(c, app) })
 }
 
@@ -510,6 +512,7 @@ func TracedRun(cfg Config, appName string, nodes, rpn int, os cluster.OSType) (*
 	if err != nil {
 		return nil, nil, err
 	}
+	defer cl.Close()
 	rec := cfg.Trace
 	if rec == nil {
 		rec = trace.NewRecorder()
@@ -627,6 +630,7 @@ func SyscallBreakdown(cfg Config, appName string) (orig, pico Breakdown, err err
 		if err != nil {
 			return Breakdown{}, err
 		}
+		defer cl.Close()
 		// Snapshot each node's kernel profile at body start so the
 		// breakdown covers steady-state execution, not MPI_Init (the
 		// paper's applications run long enough to amortize startup).

@@ -112,30 +112,32 @@ func failoverCell(cfg Config, os cluster.OSType, msgs int, size uint64, seed int
 	if err != nil {
 		return FailoverRow{}, err
 	}
+	defer cl.Close()
 	if rec != nil {
-		cl.E.SetRecorder(rec)
+		for _, e := range cl.Engines() {
+			e.SetRecorder(rec)
+		}
 	}
 	var runErr error
 	completions := make([]time.Duration, 0, msgs)
 	var streamStart time.Duration
 	eps := make([]*psm.Endpoint, 2)
 	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(cl.E)
-	ready.Add(2)
+	ready := cl.NewRendezvous(2)
 	idle := new(int)
 	for r := 0; r < 2; r++ {
 		r := r
 		osops := cl.Nodes[r].NewRankOS(r)
-		cl.E.Go(fmt.Sprintf("fo%d", r), func(p *sim.Proc) {
+		cl.Go(r, fmt.Sprintf("fo%d", r), func(p *sim.Proc) {
 			ep, err := psm.NewEndpoint(p, osops, r, book, false)
 			if err != nil {
 				runErr = err
-				ready.Done()
+				ready.Done(p)
 				return
 			}
 			eps[r] = ep
 			book[r] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done()
+			ready.Done(p)
 			ready.Wait(p)
 			proc := ep.OS.Proc()
 			buf, err := osops.MmapAnon(p, size)
@@ -192,7 +194,7 @@ func failoverCell(cfg Config, os cluster.OSType, msgs int, size uint64, seed int
 			}
 		})
 	}
-	if err := cl.E.Run(0); err != nil {
+	if err := cl.Run(0); err != nil {
 		return FailoverRow{}, err
 	}
 	if runErr != nil {

@@ -130,26 +130,26 @@ func reliabilityCell(cfg Config, os cluster.OSType, loss float64, size uint64, r
 	if err != nil {
 		return relCell{}, err
 	}
+	defer cl.Close()
 	hist := &trace.Histogram{}
 	var runErr error
 	eps := make([]*psm.Endpoint, 2)
 	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(cl.E)
-	ready.Add(2)
+	ready := cl.NewRendezvous(2)
 	idle := new(int)
 	for r := 0; r < 2; r++ {
 		r := r
 		osops := cl.Nodes[r].NewRankOS(r)
-		cl.E.Go(fmt.Sprintf("rel%d", r), func(p *sim.Proc) {
+		cl.Go(r, fmt.Sprintf("rel%d", r), func(p *sim.Proc) {
 			ep, err := psm.NewEndpoint(p, osops, r, book, false)
 			if err != nil {
 				runErr = err
-				ready.Done()
+				ready.Done(p)
 				return
 			}
 			eps[r] = ep
 			book[r] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done()
+			ready.Done(p)
 			ready.Wait(p)
 			proc := ep.OS.Proc()
 			buf, err := osops.MmapAnon(p, size)
@@ -225,7 +225,7 @@ func reliabilityCell(cfg Config, os cluster.OSType, loss float64, size uint64, r
 			}
 		})
 	}
-	if err := cl.E.Run(0); err != nil {
+	if err := cl.Run(0); err != nil {
 		return relCell{}, err
 	}
 	if runErr != nil {

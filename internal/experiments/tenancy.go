@@ -261,8 +261,11 @@ func tenancyCell(cfg Config, os cluster.OSType, scen string, seed int64, rec *tr
 	if err != nil {
 		return TenancyRow{}, err
 	}
+	defer cl.Close()
 	if rec != nil {
-		cl.E.SetRecorder(rec)
+		for _, e := range cl.Engines() {
+			e.SetRecorder(rec)
+		}
 	}
 	s := sched.New(cl)
 	hist := &trace.Histogram{}

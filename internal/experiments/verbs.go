@@ -13,10 +13,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mlx"
-	"repro/internal/mpi"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -89,12 +87,13 @@ func verbsCellRun(cfg Config, os cluster.OSType, size uint64, reps int, seed int
 	if err != nil {
 		return verbsCell{}, err
 	}
+	defer cl.Close()
 	var cell verbsCell
 	var runErr error
-	cl.E.Go("verbs-cell", func(p *sim.Proc) {
+	cl.Go(0, "verbs-cell", func(p *sim.Proc) {
 		cell, runErr = verbsCellBody(p, cl, size, reps)
 	})
-	if err := cl.E.Run(0); err != nil {
+	if err := cl.Run(0); err != nil {
 		return verbsCell{}, err
 	}
 	return cell, runErr
@@ -215,12 +214,4 @@ func verbsCellBody(p *sim.Proc, cl *cluster.Cluster, size uint64, reps int) (ver
 		return cell, fmt.Errorf("verbs cell: data path entered a kernel (+%v)", d)
 	}
 	return cell, nil
-}
-
-// TracedVerbsRun executes the one-sided LAMMPS variant with a span
-// recorder attached: the verbs doorbell/dma/cqe spans land in the trace
-// next to the MPI and kernel layers. Same-seed calls produce
-// byte-identical Chrome output.
-func TracedVerbsRun(cfg Config, nodes, rpn int, os cluster.OSType) (*trace.Recorder, *mpi.JobResult, error) {
-	return TracedRun(cfg, "LAMMPS-RMA", nodes, rpn, os)
 }

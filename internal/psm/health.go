@@ -111,15 +111,6 @@ type SlowPathForcer interface {
 	ForceSlowPath(on bool)
 }
 
-// Health returns the endpoint's current health state (HealthHealthy on
-// a loss-free fabric, where no machine exists).
-func (ep *Endpoint) Health() HealthState {
-	if ep.health == nil {
-		return HealthHealthy
-	}
-	return ep.health.state
-}
-
 // avoidSDMA reports whether eager transfers should bypass the SDMA
 // engine (failed over due to SDMA errors).
 func (ep *Endpoint) avoidSDMA() bool {

@@ -34,26 +34,25 @@ func lossyPairOn(t *testing.T, fp fabric.FaultProfile, pr model.Params, body fun
 	}
 	eps := make([]*psm.Endpoint, 2)
 	book := psm.MapBook{}
-	ready := sim.NewWaitGroup(cl.E)
-	ready.Add(2)
+	ready := cl.NewRendezvous(2)
 	for r := 0; r < 2; r++ {
 		r := r
 		osops := cl.Nodes[r].NewRankOS(r)
-		cl.E.Go(fmt.Sprintf("r%d", r), func(p *sim.Proc) {
+		cl.Go(r, fmt.Sprintf("r%d", r), func(p *sim.Proc) {
 			ep, err := psm.NewEndpoint(p, osops, r, book, false)
 			if err != nil {
 				t.Error(err)
-				ready.Done()
+				ready.Done(p)
 				return
 			}
 			eps[r] = ep
 			book[r] = psm.Addr{Node: osops.NodeID(), Ctx: ep.CtxID}
-			ready.Done()
+			ready.Done(p)
 			ready.Wait(p)
 			body(p, r, ep)
 		})
 	}
-	if err := cl.E.Run(0); err != nil {
+	if err := cl.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	return cl, eps
@@ -143,7 +142,7 @@ func runLossyTransfersOn(t *testing.T, fp fabric.FaultProfile, pr model.Params, 
 			t.Error(err)
 		}
 	})
-	res := lossyResult{fstats: cl.Fab.FaultStats(), now: cl.E.Now()}
+	res := lossyResult{fstats: cl.Fab.FaultStats(), now: cl.Now()}
 	for i, ep := range eps {
 		if ep != nil {
 			res.stats[i] = ep.Stats

@@ -2,11 +2,15 @@
 // with virtual-time processes.
 //
 // The engine owns a virtual clock and an event heap. Simulated processes
-// are goroutines, but exactly one of them runs at any instant: control is
-// handed from the engine loop to a process and back over unbuffered
-// channels, so no locking is needed inside simulation code and runs are
-// reproducible. Events that fire at the same virtual time are ordered by
-// their scheduling sequence number.
+// are goroutines, but exactly one goroutine holds the engine token at
+// any instant, so no locking is needed inside simulation code and runs
+// are reproducible. Whoever holds the token dispatches: it pops events
+// in (time, sequence) order, runs callback events inline, and hands the
+// token straight to the next process to resume (a process that resumes
+// itself keeps it without a goroutine switch). Run's goroutine only
+// regains the token once the queue is drained up to the run's bound.
+// Events that fire at the same virtual time are ordered by their
+// scheduling sequence number.
 //
 // All timing uses time.Duration as virtual nanoseconds since the start of
 // the run.
@@ -14,6 +18,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"time"
@@ -24,14 +30,14 @@ import (
 )
 
 // Engine is a discrete-event simulator. Create one with NewEngine, add
-// processes with Go, and execute with Run. An Engine must not be shared
-// between concurrently running simulations.
+// processes with Go, execute with Run, and release the goroutines of
+// processes still parked at the end with Close. An Engine must not be
+// shared between concurrently running simulations.
 type Engine struct {
 	now    time.Duration
 	seq    uint64
 	heap   eventHeap
 	rng    *xrand.Rand
-	parked chan struct{}
 	procs  map[*Proc]struct{}
 	live   int
 	failv  any
@@ -46,16 +52,18 @@ type Engine struct {
 	shard    int
 	crossSeq uint64
 
-	// Direct-dispatch mode (sharded engines only): a blocking or
-	// finishing process hands the token straight to the next runnable
-	// process instead of bouncing through the engine goroutine, and
-	// callback events execute inline on whichever goroutine holds the
-	// token. Event order is identical to the classic loop — the same
-	// heap pops in the same (at, seq) order — only the number of
-	// goroutine switches changes (one per process event instead of
-	// two). bound is the current window's exclusive time bound.
-	direct bool
+	// Dispatch state. bound is the exclusive time bound of the current
+	// run or window: step executes only events before it. parked hands
+	// the token back to the goroutine driving runWindow once nothing
+	// before the bound is left. cbSeq is the sequence number of the
+	// callback event step is executing (0: none), so a panic raised
+	// inside it is reported as the event's, not as that of whichever
+	// process's goroutine happened to carry the token. closed is set
+	// by Close.
 	bound  time.Duration
+	parked chan struct{}
+	cbSeq  uint64
+	closed bool
 }
 
 // regState is one registered snapshot contributor.
@@ -125,7 +133,7 @@ func (e *Engine) Fail(err error) {
 }
 
 // Rng returns the engine's deterministic random source. It must only be
-// used from simulation context (the engine loop or a running process).
+// used from simulation context (an event callback or a running process).
 // The generator's state is part of the engine snapshot, so draws made
 // by a restored run continue the straight run's sequence exactly.
 func (e *Engine) Rng() *xrand.Rand { return e.rng }
@@ -207,86 +215,112 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	e.procs[p] = struct{}{}
 	e.live++
 	go func() {
+		defer e.exit(p)
 		<-p.resume
-		defer func() {
-			if r := recover(); r != nil && e.failv == nil {
-				e.failv = &PanicError{Proc: p.name, Value: r, Stack: debug.Stack()}
-			}
-			e.live--
-			delete(e.procs, p)
-			if e.direct {
-				e.handoff()
-				return
-			}
-			e.parked <- struct{}{}
-		}()
-		fn(p)
+		if !e.closed {
+			fn(p)
+		}
 	}()
 	e.atProc(e.now, p)
 	return p
 }
 
-// runProc hands the engine token to p until it blocks or finishes.
-func (e *Engine) runProc(p *Proc) {
-	p.resume <- struct{}{}
-	<-e.parked
-}
-
-// block parks the calling process until it is woken via wake.
-func (p *Proc) block(state string) {
-	p.state = state
-	e := p.e
-	if e.direct {
-		switch q := e.step(); q {
-		case p:
-			// The next event is this process's own resumption (a sleep
-			// nothing else interleaves with): the park/unpark pair would
-			// be a self-handoff, so skip it entirely.
-		case nil:
-			e.parked <- struct{}{}
-			<-p.resume
-		default:
-			q.resume <- struct{}{}
-			<-p.resume
-		}
-		p.state = ""
+// exit retires a process whose body returned or panicked and hands the
+// token onward. On a closed engine it only acknowledges the release.
+func (e *Engine) exit(p *Proc) {
+	if e.closed {
+		e.parked <- struct{}{}
 		return
 	}
-	e.parked <- struct{}{}
-	<-p.resume
+	if r := recover(); r != nil {
+		e.fault(r, p)
+	}
+	e.live--
+	delete(e.procs, p)
+	e.handoff()
+}
+
+// block parks the calling process until it is woken via wake, running
+// the queue on its goroutine in the meantime.
+func (p *Proc) block(state string) {
+	e := p.e
+	if e.closed {
+		// A deferred call of a process released by Close tried to block.
+		runtime.Goexit()
+	}
+	p.state = state
+	if q := e.step(); q != p {
+		// (q == p: the next event is this process's own resumption, a
+		// sleep nothing else interleaves with, so it keeps the token.)
+		if q == nil {
+			e.parked <- struct{}{}
+		} else {
+			q.resume <- struct{}{}
+		}
+		<-p.resume
+		if e.closed {
+			runtime.Goexit()
+		}
+	}
 	p.state = ""
 }
 
-// step executes queued events strictly before the window bound until it
-// reaches a process resumption, which it returns for the caller to hand
-// the token to (nil: the window is drained or a failure is pending).
-// Callback events run inline on the calling goroutine; dispatch order
-// is exactly the classic loop's (same heap, same pops).
+// step executes queued events before the bound until it reaches a
+// process resumption, which it returns for the caller to hand the token
+// to (nil: nothing before the bound is left, or a failure is pending).
+// Callback events run inline on the calling goroutine.
 func (e *Engine) step() *Proc {
 	for len(e.heap) > 0 && e.heap[0].at < e.bound && e.failv == nil {
 		ev := e.heap.pop()
 		e.now = ev.at
-		switch ev.kind {
-		case evProc:
+		if ev.kind == evProc {
 			return ev.p
-		case evArg:
+		}
+		e.cbSeq = ev.seq
+		if ev.kind == evArg {
 			ev.afn(ev.arg)
-		default:
+		} else {
 			ev.fn()
 		}
+		e.cbSeq = 0
 	}
 	return nil
 }
 
-// handoff passes the engine token onward when the calling goroutine is
-// done with it: directly to the next runnable process, or back to the
-// window driver once the window is drained.
+// handoff passes the token onward from a process that has finished:
+// directly to the next runnable process, or back to the run's driver
+// once nothing before the bound is left.
 func (e *Engine) handoff() {
+	defer func() {
+		// A callback run by step panicked; the finished process is
+		// already retired, so the event owns the failure.
+		if r := recover(); r != nil {
+			e.fault(r, nil)
+			e.parked <- struct{}{}
+		}
+	}()
 	if q := e.step(); q != nil {
 		q.resume <- struct{}{}
 	} else {
 		e.parked <- struct{}{}
 	}
+}
+
+// fault records a recovered panic as the run's failure. A panic raised
+// while step ran a callback belongs to that event, whichever goroutine
+// carried the token (p is nil where only a callback can panic); any
+// other panic belongs to the process p.
+func (e *Engine) fault(r any, p *Proc) {
+	if e.failv == nil {
+		pe := &PanicError{Value: r, Stack: debug.Stack()}
+		if e.cbSeq != 0 {
+			pe.Event = fmt.Sprintf("callback seq=%d at %v", e.cbSeq, e.now)
+		} else {
+			pe.Proc = p.name
+		}
+		e.failv = pe
+	}
+	e.cbSeq = 0
 }
 
 // wake schedules p to resume at the current virtual time.
@@ -309,17 +343,21 @@ func (p *Proc) Sleep(d time.Duration) {
 // before the process continues.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// PanicError is returned (wrapped) by Run when a simulated process
-// panics. It preserves the panicking process's name, the panic value
-// and the goroutine stack captured at recover time, and unwraps via
-// errors.As.
+// PanicError is returned (wrapped) by Run when a simulated process or a
+// callback event panics. It names the process (Proc) or the event
+// (Event), and preserves the panic value and the goroutine stack
+// captured at recover time; it unwraps via errors.As.
 type PanicError struct {
 	Proc  string
+	Event string // "callback seq=N at T" when a callback panicked
 	Value any
 	Stack []byte
 }
 
 func (e *PanicError) Error() string {
+	if e.Event != "" {
+		return fmt.Sprintf("%s panicked: %v\n%s", e.Event, e.Value, e.Stack)
+	}
 	return fmt.Sprintf("proc %q panicked: %v\n%s", e.Proc, e.Value, e.Stack)
 }
 
@@ -337,55 +375,104 @@ func (d *DeadlockError) Error() string {
 
 // Run executes events until the heap is empty or until limit (if > 0) is
 // reached. It returns a *DeadlockError if processes remain blocked with
-// no pending events, and a *PanicError (wrapped) if any process
-// panicked.
+// no pending events, and a *PanicError (wrapped) if any process or
+// callback panicked.
 //
 // Run is resumable: an event past the limit stays queued, so
 // Run(t) followed by Run(0) reaches exactly the same final state as a
 // single Run(0).
 func (e *Engine) Run(limit time.Duration) error {
-	if e.direct {
-		// A sharded engine's block() dispatches against the window
-		// bound; running it outside ShardSet.Run would dispatch against
-		// a stale bound and silently corrupt the schedule.
+	if e.set != nil {
+		// A shard must advance in lockstep windows with its set;
+		// running it alone would overtake cross-shard deliveries.
 		panic("sim: Run called on a sharded engine (drive it with ShardSet.Run)")
 	}
-	for len(e.heap) > 0 {
-		// Peek before popping: the first event past the limit must stay
-		// in the heap for a later resumed Run to execute.
-		if limit > 0 && e.heap[0].at > limit {
-			e.now = limit
-			return nil
-		}
-		ev := e.heap.pop()
-		e.now = ev.at
-		switch ev.kind {
-		case evProc:
-			e.runProc(ev.p)
-		case evArg:
-			ev.afn(ev.arg)
-		default:
-			ev.fn()
-		}
-		if e.failv != nil {
-			if err, ok := e.failv.(error); ok {
-				return fmt.Errorf("sim: %w", err)
-			}
-			return fmt.Errorf("sim: %v", e.failv)
-		}
+	bound := time.Duration(math.MaxInt64)
+	if limit > 0 {
+		// Events at exactly limit execute; the bound is exclusive.
+		bound = limit + 1
 	}
-	var blocked []string
-	for p := range e.procs {
-		if p.daemon {
-			continue
-		}
-		blocked = append(blocked, fmt.Sprintf("%s [%s]", p.name, p.state))
+	if err := e.runWindow(bound); err != nil {
+		return err
 	}
-	if len(blocked) > 0 {
-		sort.Strings(blocked)
-		return &DeadlockError{Now: e.now, Blocked: blocked}
+	if len(e.heap) > 0 {
+		e.now = limit
+		return nil
+	}
+	return deadlock(e.now, []*Engine{e})
+}
+
+// runWindow processes every queued event with time strictly before
+// bound: the token travels from process to process, and the calling
+// goroutine only regains it once nothing before the bound is left (or
+// a failure latched). No limit handling and no deadlock detection; the
+// callers do that.
+func (e *Engine) runWindow(bound time.Duration) error {
+	if e.closed {
+		panic("sim: Run on a closed engine")
+	}
+	e.bound = bound
+	e.dispatch()
+	if e.failv != nil {
+		if err, ok := e.failv.(error); ok {
+			return fmt.Errorf("sim: %w", err)
+		}
+		return fmt.Errorf("sim: %v", e.failv)
 	}
 	return nil
+}
+
+// dispatch starts the token on its way and waits for it to come back.
+// Callbacks step runs here execute on the driving goroutine, so their
+// panics are recovered here.
+func (e *Engine) dispatch() {
+	defer func() {
+		if r := recover(); r != nil {
+			e.fault(r, nil)
+		}
+	}()
+	if q := e.step(); q != nil {
+		q.resume <- struct{}{}
+		<-e.parked
+	}
+}
+
+// deadlock returns a *DeadlockError naming every non-daemon process
+// still blocked on engines whose queues have drained, or nil.
+func deadlock(now time.Duration, engines []*Engine) error {
+	var blocked []string
+	for _, e := range engines {
+		for p := range e.procs {
+			if !p.daemon {
+				blocked = append(blocked, fmt.Sprintf("%s [%s]", p.name, p.state))
+			}
+		}
+	}
+	if len(blocked) == 0 {
+		return nil
+	}
+	sort.Strings(blocked)
+	return &DeadlockError{Now: now, Blocked: blocked}
+}
+
+// Close releases every process still parked on the engine (daemons
+// blocked forever, and whatever a limited, failed or deadlocked Run
+// left behind) so their goroutines exit and the simulation they
+// reference can be collected. A released process runs no further
+// simulation code: its goroutine exits through runtime.Goexit, which
+// runs only the body's deferred calls, and nothing is dispatched. Call
+// Close between runs, once the engine's results have been read; Run on
+// a closed engine panics.
+func (e *Engine) Close() {
+	if e.closed {
+		return
+	}
+	e.closed = true
+	e.rec = nil // deferred calls of released processes record no spans
+	for p := range e.procs {
+		close(p.resume)
+		<-e.parked // one at a time: deferred calls never overlap
+	}
 }
 
 // eventHeap is a binary min-heap ordered by (at, seq).

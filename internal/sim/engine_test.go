@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -357,5 +359,102 @@ func TestDaemonsDoNotCountAsDeadlock(t *testing.T) {
 	e2.Go("stuck", func(p *Proc) { q2.Pop(p) })
 	if err := e2.Run(0); err == nil {
 		t.Fatal("blocked non-daemon not reported")
+	}
+}
+
+// TestCallbackPanicNamesEvent covers a panicking After callback on each
+// goroutine that can carry the token when it runs: the run's driver
+// (no process is runnable), a process that is blocking in Sleep, and a
+// process whose body just returned. Every case must surface from Run
+// as a *PanicError naming the event, on a standalone engine and on a
+// shard of a 2-shard set.
+func TestCallbackPanicNamesEvent(t *testing.T) {
+	carriers := map[string]func(e *Engine){
+		"driver":  func(e *Engine) {},
+		"sleeper": func(e *Engine) { e.Go("worker", func(p *Proc) { p.Sleep(10) }) },
+		"exiting": func(e *Engine) { e.Go("worker", func(p *Proc) {}) },
+	}
+	for name, setup := range carriers {
+		for _, shards := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				var e *Engine
+				run := func() error { return e.Run(0) }
+				if shards > 0 {
+					s, err := NewShardSet(1, shards, 100)
+					if err != nil {
+						t.Fatal(err)
+					}
+					e, run = s.Engines()[0], func() error { return s.Run(0) }
+				} else {
+					e = NewEngine(1)
+				}
+				setup(e)
+				e.After(5, func() { panic("cb boom") })
+				err := run()
+				var pe *PanicError
+				if !errors.As(err, &pe) {
+					t.Fatalf("Run = %v, want a *PanicError", err)
+				}
+				if pe.Proc != "" || !strings.HasPrefix(pe.Event, "callback seq=") || pe.Value != "cb boom" {
+					t.Fatalf("PanicError{Proc: %q, Event: %q, Value: %v}, want the callback event", pe.Proc, pe.Event, pe.Value)
+				}
+				if !strings.Contains(err.Error(), "callback seq=") {
+					t.Fatalf("error text %q does not name the event", err)
+				}
+			})
+		}
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has stopped
+// changing: goroutines of processes that finished in earlier tests may
+// still be on their way out.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 20; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
+func TestCloseReleasesParkedProcs(t *testing.T) {
+	base := settledGoroutines()
+	e := NewEngine(1)
+	q := NewQueue[int](e)
+	e.GoDaemon("server", func(p *Proc) {
+		for {
+			q.Pop(p)
+		}
+	})
+	deferred := 0
+	e.Go("stuck", func(p *Proc) {
+		defer func() {
+			deferred++
+			p.Sleep(1) // must not dispatch on a closed engine
+			deferred++
+		}()
+		q.Pop(p)
+		q.Pop(p)
+	})
+	e.Go("pusher", func(p *Proc) { q.Push(1) })
+	e.After(50, func() { t.Error("event ran after Close") })
+	if err := e.Run(20); err != nil {
+		t.Fatal(err)
+	}
+	if got := settledGoroutines(); got < base+2 {
+		t.Fatalf("%d goroutines parked, want the server's and stuck's", got-base)
+	}
+	e.Close()
+	e.Close() // idempotent
+	if got := settledGoroutines(); got > base {
+		t.Fatalf("%d goroutines left after Close", got-base)
+	}
+	if deferred != 1 {
+		t.Fatalf("deferred call ran %d steps, want 1 (blocking on a closed engine exits)", deferred)
 	}
 }

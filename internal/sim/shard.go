@@ -85,7 +85,6 @@ func NewShardSet(seed int64, n int, lookahead time.Duration) (*ShardSet, error) 
 		e := NewEngine(seed)
 		e.set = s
 		e.shard = i
-		e.direct = true
 		s.shards = append(s.shards, e)
 	}
 	return s, nil
@@ -96,9 +95,6 @@ func (s *ShardSet) Engines() []*Engine { return s.shards }
 
 // Shards returns the shard count.
 func (s *ShardSet) Shards() int { return len(s.shards) }
-
-// Lookahead returns the conservative synchronization bound.
-func (s *ShardSet) Lookahead() time.Duration { return s.lookahead }
 
 // Now returns the set's virtual time: the maximum shard clock.
 func (s *ShardSet) Now() time.Duration {
@@ -185,20 +181,7 @@ func (s *ShardSet) Run(limit time.Duration) error {
 		}
 		s.Windows++
 	}
-	var blocked []string
-	for _, e := range s.shards {
-		for p := range e.procs {
-			if p.daemon {
-				continue
-			}
-			blocked = append(blocked, fmt.Sprintf("%s [%s]", p.name, p.state))
-		}
-	}
-	if len(blocked) > 0 {
-		sort.Strings(blocked)
-		return &DeadlockError{Now: s.Now(), Blocked: blocked}
-	}
-	return nil
+	return deadlock(s.Now(), s.shards)
 }
 
 // barrier injects the window's buffered cross-shard events in global
@@ -260,26 +243,6 @@ func (s *ShardSet) barrier(bound time.Duration) error {
 			r.flushed = true
 		}
 		s.fired = s.fired[:0]
-	}
-	return nil
-}
-
-// runWindow processes every queued event with time strictly before
-// bound. It is the per-shard slice of ShardSet.Run: no limit handling
-// and no deadlock detection (the set aggregates that after all queues
-// drain). Execution uses direct dispatch — step/handoff chain the
-// token from process to process, and the driver only regains control
-// once the window is drained (or a failure latched).
-func (e *Engine) runWindow(bound time.Duration) error {
-	e.bound = bound
-	if q := e.step(); q != nil {
-		e.runProc(q)
-	}
-	if e.failv != nil {
-		if err, ok := e.failv.(error); ok {
-			return fmt.Errorf("sim: %w", err)
-		}
-		return fmt.Errorf("sim: %v", e.failv)
 	}
 	return nil
 }

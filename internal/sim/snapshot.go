@@ -120,7 +120,7 @@ var _ snapshot.Machine = (*Engine)(nil)
 // sections prefixed "shard<i>/". The container format is the same as a
 // single engine's, so Restore's replay-and-byte-verify protocol works
 // unchanged; a Shards=1 cluster never reaches this path (it builds a
-// standalone engine), keeping classic snapshots byte-identical.
+// standalone engine), keeping single-engine snapshots byte-identical.
 //
 // Like Engine.Snapshot it must be called between Run calls, where the
 // cross-shard buffer is empty (every window's barrier drains it), so
